@@ -26,8 +26,6 @@ from .core import (
     add_defects,
     dump_config,
     load_config,
-    make_defect,
-    restrict_extension,
     validate_config,
 )
 from .weyl import (
@@ -80,7 +78,6 @@ from .partition import (
     UnionOfBalls,
     build_cutoff,
     build_family,
-    lattice_partition,
     partition_constants,
     verify_cutoff,
 )

@@ -200,14 +200,6 @@ class SampledPotential:
     values: np.ndarray   # cell-center samples, C order
     tags: tuple = ()
 
-    @classmethod
-    def from_gridtable(cls, path, tags=()) -> "SampledPotential":
-        """Load samples from the shared grid-table format."""
-        from . import _gridtable
-
-        bbox, values, _, _ = _gridtable.load_grid(path)
-        return cls(bbox, values, tuple(tags))
-
     def cell_volume(self) -> float:
         vol = 1.0
         for (lo, hi), m in zip(self.bbox, self.values.shape):

@@ -147,9 +147,10 @@ def channel_oracle_count(n: int, c: float, l: int,
     return combine_endpoint_counts(inner, outer)
 
 
-def _shell_side_problem(spec: Shell, side: str) -> RadialProblem:
-    # one-sided problem in the distance variable s = |r - r0|; the angular
-    # term is regular at r0 > 0 and cannot change the classification
+def _shell_side_problem(spec: Shell) -> RadialProblem:
+    # one-sided problem in the distance variable s = |r - r0|, the same for
+    # both sides; the angular term is regular at r0 > 0 and cannot change the
+    # classification
     s_max = min(spec.r0, spec.delta - spec.r0)
     beta, gamma = spec.beta, spec.gamma
     return RadialProblem(
@@ -184,9 +185,7 @@ def shell_defect(n: int, spec: Shell,
 @lru_cache(maxsize=1024)
 def shell_side_classifications(spec: Shell,
                                settings: WeylSettings = DEFAULT_SETTINGS):
-    """Endpoint class and diagnostics for each side of the shell."""
-    out = []
-    for side in ("inside", "outside"):
-        problem = _shell_side_problem(spec, side)
-        out.append(classify_endpoint_detailed(problem, 1j, settings))
-    return tuple(out)
+    """Endpoint class and diagnostics for each side (inside, outside) of the
+    shell; both sides pose the same problem, so it is classified once."""
+    side = classify_endpoint_detailed(_shell_side_problem(spec), 1j, settings)
+    return (side, side)

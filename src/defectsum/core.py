@@ -50,12 +50,6 @@ def ext_to_json(value: ExtNat):
     return "inf" if value == INF else int(value)
 
 
-def ext_from_json(value) -> ExtNat:
-    if value == "inf":
-        return INF
-    return _check_extnat(value, "index")
-
-
 @dataclass(frozen=True)
 class DefectRecord:
     """Pair of deficiency indices with extended-natural arithmetic."""
@@ -67,10 +61,6 @@ class DefectRecord:
         _check_extnat(self.n_plus, "n_plus")
         _check_extnat(self.n_minus, "n_minus")
 
-    @classmethod
-    def symmetric(cls, n: ExtNat) -> "DefectRecord":
-        return cls(n, n)
-
     @property
     def def_value(self) -> ExtNat:
         """Half-sum of the indices; inf if either index is infinite."""
@@ -78,10 +68,6 @@ class DefectRecord:
             return INF
         total = self.n_plus + self.n_minus
         return total // 2 if total % 2 == 0 else total / 2
-
-    @property
-    def is_finite(self) -> bool:
-        return self.n_plus != INF and self.n_minus != INF
 
     def __add__(self, other: "DefectRecord") -> "DefectRecord":
         if not isinstance(other, DefectRecord):
@@ -126,16 +112,6 @@ class DefectRecord:
 
 
 ZERO_DEFECT = DefectRecord(0, 0)
-
-
-def make_defect(n_plus: ExtNat, n_minus: ExtNat) -> DefectRecord:
-    """Construct a record from a pair of extended naturals."""
-    return DefectRecord(n_plus, n_minus)
-
-
-def restrict_extension(record: DefectRecord, m: int) -> DefectRecord:
-    """Indices after restricting along an m-dimensional isometry."""
-    return record.restricted(m)
 
 
 def add_defects(records) -> DefectRecord:
@@ -342,10 +318,6 @@ class CustomRadial:
 PotentialSpec = Union[InverseSquarePoint, Shell, CustomRadial]
 
 
-def spec_support_radius(spec: PotentialSpec) -> float:
-    return spec.delta
-
-
 def _spec_from_json(obj) -> PotentialSpec:
     kind = obj.get("kind")
     if kind == "point":
@@ -416,10 +388,6 @@ class LatticeGenerator:
                     raise ConfigFormatError("empty coefficient range")
 
     @property
-    def dimension_of_lattice(self) -> int:
-        return len(self.basis)
-
-    @property
     def is_infinite(self) -> bool:
         return self.region == "infinite"
 
@@ -465,24 +433,6 @@ class LatticeGenerator:
             norm = math.dist(v, zero)
             if norm < best:
                 best = norm
-        return best
-
-    def distance_to_point(self, point) -> float:
-        """Distance from a point to the nearest lattice site."""
-        B = np.asarray(self.basis, dtype=float)
-        p = np.asarray(point, dtype=float) - np.asarray(self.origin, dtype=float)
-        coeffs, *_ = np.linalg.lstsq(B.T, p, rcond=None)
-        base = np.floor(coeffs).astype(int)
-        best = INF
-        d = B.shape[0]
-        for offs in itertools.product((-1, 0, 1, 2), repeat=d):
-            k = base + np.asarray(offs)
-            if self.region != "infinite":
-                ok = all(lo <= kj <= hi for kj, (lo, hi) in zip(k, self.region))
-                if not ok:
-                    continue
-            site = k.astype(float) @ B
-            best = min(best, math.dist(site, p))
         return best
 
     def to_json(self) -> dict:

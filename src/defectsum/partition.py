@@ -3,10 +3,15 @@ partitions of unity, with measured derivative constants.
 
 Cutoffs are mollified region indicators: the indicator of the eps/4
 neighborhood of the target region convolved with a normalized smooth
-bump supported in the ball of radius eps/4.  For balls, complements of
-balls, and half spaces the convolution reduces to a one-dimensional
-profile (a weighted average of spherical-cap fractions), which keeps
-every value inside [0, 1] by construction.
+bump supported in the ball of radius eps/4.  Every cutoff is an offset
+plus a signed sum of mollified edges, ``offset + sum sign * psi(dist(x))``,
+each edge radial about a centre or planar along a unit normal: a ball is
+one edge, its complement is one minus one edge, a half space is one planar
+edge, a union of separated balls is one edge per ball, and the whole space
+is the offset alone.  The convolution across one edge reduces to a
+one-dimensional profile (a weighted average of spherical-cap fractions),
+which keeps every value inside [0, 1] by construction; its derivatives
+come from one central-difference routine, ``_Edge.derivatives``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ from .core import ValidatedConfig
 from .errors import RegionsTooClose, DefectsumError
 
 _QUAD_NODES = 256
-# Central-difference steps relative to eps.  The quadrature-defined profile
-# is piecewise smooth at the node scale (transition width / nodes), so the
-# steps must sit above that scale or the differences measure node kinks.
+# Central-difference steps relative to eps (see _Edge.fd_steps).
 _FD_REL_STEP_1 = 1e-3
 _FD_REL_STEP_2 = 1e-2
 _SCAN_POINTS = 4001
@@ -184,69 +187,139 @@ def _cap_fraction(n: int, c0: np.ndarray) -> np.ndarray:
     return np.interp(c0, u, frac)
 
 
-class _BallProfile:
-    """Radial profile of the mollified ball indicator.
+class _Edge:
+    """One mollified edge: psi(t) at the coordinate t = dist(x).
 
-    psi(d) = average over the bump of the cap fraction of the sphere of
-    radius a*r at center distance d inside the ball of radius R.
+    psi(t) is the bump average of the fraction of the sphere of radius a*r,
+    centred at a point with coordinate t, that lies in the edge's region; it
+    is exactly 1 at depth >= a inside the region and 0 at depth >= a
+    outside.  ``sign`` is the member's weight in its cutoff.  Subclasses
+    give the geometry: ``_fractions`` (the cap fractions over points and bump
+    radii, with the plateau and vanishing masks), the coordinate and its
+    gradient, the level sets' curvature radius, and the scan grid.
     """
 
-    def __init__(self, n: int, R: float, a: float):
+    def __init__(self, n: int, a: float, sign: float):
         self.n = n
+        self.a = a
+        self.sign = sign
+
+    def psi(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        r, w = _bump_weights(self.n)
+        frac, plateau, vanish = self._fractions(t, self.a * r)
+        out = frac @ w
+        out[plateau] = 1.0
+        out[vanish] = 0.0
+        return out
+
+    @property
+    def fd_steps(self):
+        """Central-difference steps for psi' and psi''.
+
+        psi is piecewise smooth at the quadrature-node scale (transition
+        width / nodes), so the steps sit above that scale or the differences
+        measure node kinks: eps * 1e-3 and eps * 1e-2 with eps = 4a.
+        """
+        eps = 4.0 * self.a
+        return eps * _FD_REL_STEP_1, eps * _FD_REL_STEP_2
+
+    def derivatives(self, t, order: int = 2):
+        """(psi, psi', psi'') at t; ``order=1`` stops after psi'.
+
+        Each stencil offset is one profile evaluation, made one at a time so
+        that no (offsets x points x nodes) array is ever held.
+        """
+        t = np.asarray(t, dtype=float)
+        h1, h2 = self.fd_steps
+        v = self.psi(t)
+        d1 = (self.psi(t + h1) - self.psi(t - h1)) / (2 * h1)
+        if order == 1:
+            return v, d1
+        d2 = (self.psi(t + h2) - 2.0 * v + self.psi(t - h2)) / (h2 * h2)
+        return v, d1, d2
+
+
+class _RadialEdge(_Edge):
+    """Edge of the ball of radius R about ``centre``; t = |x - centre|."""
+
+    def __init__(self, n: int, centre, R: float, a: float, sign: float = 1.0):
+        super().__init__(n, a, sign)
+        self.centre = tuple(float(c) for c in centre)
         self.R = R
-        self.a = a
+        self.support = R + a
 
-    def value(self, d):
-        d = np.asarray(d, dtype=float)
-        scalar = d.ndim == 0
-        d = np.atleast_1d(d)
-        r, w = _bump_weights(self.n)
-        ar = self.a * r                                  # (q,)
-        dd = d[:, None]                                  # (m, 1)
-        inside = dd + ar <= self.R
-        outside = (dd - ar >= self.R) | (ar - dd >= self.R)
-        denom = 2.0 * ar * np.maximum(dd, 1e-300)
-        c0 = (dd**2 + ar**2 - self.R**2) / denom
-        frac = _cap_fraction(self.n, c0)
-        frac = np.where(inside, 1.0, np.where(outside, 0.0, frac))
-        out = frac @ w
-        # exact plateaus
-        out[d <= self.R - self.a] = 1.0
-        out[d >= self.R + self.a] = 0.0
-        return float(out[0]) if scalar else out
+    def _fractions(self, t, ar):
+        tt = t[:, None]
+        R = self.R
+        inside = tt + ar <= R
+        outside = (tt - ar >= R) | (ar - tt >= R)
+        c0 = (tt**2 + ar**2 - R**2) / (2.0 * ar * np.maximum(tt, 1e-300))
+        frac = np.where(inside, 1.0, np.where(outside, 0.0, _cap_fraction(self.n, c0)))
+        return frac, t <= R - self.a, t >= R + self.a
 
-    @property
-    def plateau_radius(self) -> float:
-        return self.R - self.a
+    def coordinate(self, pts):
+        return np.sqrt(((pts - np.asarray(self.centre)) ** 2).sum(axis=1))
 
-    @property
-    def support_radius(self) -> float:
-        return self.R + self.a
+    def coordinate_gradient(self, pts, t):
+        return (pts - np.asarray(self.centre)) / np.maximum(t, 1e-300)[:, None]
+
+    def level_radius(self, t):
+        """Curvature radius of the level set {dist = t}: a sphere, or two points in R^1."""
+        return np.maximum(t, 1e-300) if self.n > 1 else math.inf
+
+    def scan_grid(self):
+        return np.linspace(1e-9, self.support + self.a, _SCAN_POINTS)
+
+    def level_meets(self, region, t):
+        """Which spheres {|x - centre| = t} meet the ball or ball complement."""
+        if not isinstance(region, (Ball, ComplementOfBall)):
+            raise TypeError(f"cannot sample region {type(region).__name__}")
+        gap = math.dist(self.centre, region.center)
+        if isinstance(region, Ball):
+            return np.abs(t - gap) <= region.radius
+        return t + gap >= region.radius
+
+    def support_ball(self):
+        return self.centre, self.support
 
 
-class _Profile1D:
-    """Signed-distance profile for a mollified half space."""
+class _PlanarEdge(_Edge):
+    """Edge of the half space {x . normal >= edge}; t = x . normal."""
 
-    def __init__(self, n: int, edge: float, a: float):
-        # value 1 for s >= edge + a, 0 for s <= edge - a
-        self.n = n
+    def __init__(self, n: int, normal, edge: float, a: float):
+        super().__init__(n, a, 1.0)
+        self.normal = _unit(normal)
         self.edge = edge
-        self.a = a
 
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        r, w = _bump_weights(self.n)
-        ar = self.a * r
-        ss = (s - self.edge)[:, None]
+    def _fractions(self, t, ar):
+        ss = (t - self.edge)[:, None]
         c0 = -ss / np.maximum(ar, 1e-300)
-        frac = _cap_fraction(self.n, c0)
-        frac = np.where(ss >= ar, 1.0, np.where(ss <= -ar, 0.0, frac))
-        out = frac @ w
-        out[s - self.edge >= self.a] = 1.0
-        out[s - self.edge <= -self.a] = 0.0
-        return float(out[0]) if scalar else out
+        frac = np.where(ss >= ar, 1.0, np.where(ss <= -ar, 0.0, _cap_fraction(self.n, c0)))
+        return frac, t - self.edge >= self.a, t - self.edge <= -self.a
+
+    def coordinate(self, pts):
+        return pts @ self.normal
+
+    def coordinate_gradient(self, pts, t):
+        return np.broadcast_to(self.normal, pts.shape)
+
+    def level_radius(self, t):
+        return math.inf
+
+    def scan_grid(self):
+        return np.linspace(self.edge - 3 * self.a, self.edge + 3 * self.a, _SCAN_POINTS)
+
+    def level_meets(self, region, t):
+        """Which hyperplanes {x . normal = t} meet the parallel half space."""
+        if not isinstance(region, HalfSpace):
+            raise TypeError("half-space cutoffs pair with half-space regions")
+        if float(np.dot(self.normal, _unit(region.normal))) > 0:
+            return t >= region.offset
+        return t <= -region.offset
+
+    def support_ball(self):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -255,148 +328,75 @@ class _Profile1D:
 
 @dataclass
 class CutoffFunction:
-    """Grid-evaluable cutoff with metadata and derivative access.
+    """phi(x) = offset + sum over members of sign * psi_m(dist_m(x)).
 
-    Values lie in [0, 1] by construction; derivatives up to order two
-    come from central differences on the one-dimensional profile at step
-    eps * 1e-4, combined through the radial chain rule.
+    Values lie in [0, 1] by construction: the members of a sum have
+    disjoint supports.  Derivatives up to order two come from the members'
+    central differences (``_Edge.derivatives``) through the chain rule.
     """
 
     n: int
     eps: float
     F0: object
     F1: object
-    kind: str                      # "const1" | "ball" | "cball" | "halfspace" | "union"
-    center: Optional[tuple] = None
-    profile: object = None
-    normal: Optional[tuple] = None
-    members: tuple = ()            # for "union": (center, profile) pairs
-
-    # -- scalar profile with FD derivatives -------------------------------
-
-    def profile_value(self, d):
-        if self.kind == "const1":
-            return np.ones_like(np.asarray(d, dtype=float))
-        if self.kind == "cball":
-            return 1.0 - self.profile.value(d)
-        if self.kind == "union":
-            raise TypeError("union cutoffs have no single radial profile; "
-                            "use member_functions()")
-        return self.profile.value(d)
-
-    def member_functions(self):
-        """Per-ball cutoffs of a union; the union is their disjoint sum."""
-        if self.kind != "union":
-            return (self,)
-        return tuple(
-            CutoffFunction(self.n, self.eps, self.F0, Ball(center, prof.R - prof.a),
-                           "ball", center=center, profile=prof)
-            for center, prof in self.members
-        )
-
-    def profile_d1(self, d):
-        h = self.eps * _FD_REL_STEP_1
-        d = np.asarray(d, dtype=float)
-        return (self.profile_value(d + h) - self.profile_value(d - h)) / (2 * h)
-
-    def profile_d2(self, d):
-        h = self.eps * _FD_REL_STEP_2
-        d = np.asarray(d, dtype=float)
-        return (self.profile_value(d + h) - 2.0 * self.profile_value(d)
-                + self.profile_value(d - h)) / (h * h)
-
-    # -- point evaluation ---------------------------------------------------
-
-    def _distances(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "halfspace":
-            nrm = _unit(self.normal)
-            return pts @ nrm, pts
-        c = np.asarray(self.center, dtype=float)
-        return np.sqrt(((pts - c) ** 2).sum(axis=1)), pts
+    offset: float
+    members: tuple = ()
 
     def value(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "const1":
-            return np.ones(pts.shape[0])
-        if self.kind == "union":
-            out = np.zeros(pts.shape[0])
-            for center, prof in self.members:
-                d = np.sqrt(((pts - np.asarray(center)) ** 2).sum(axis=1))
-                out += prof.value(d)
-            return out
-        d, _ = self._distances(points)
-        return self.profile_value(d)
+        out = np.full(pts.shape[0], self.offset)
+        for m in self.members:
+            out += m.sign * m.psi(m.coordinate(pts))
+        return out
 
     def gradient(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "const1":
-            return np.zeros_like(pts)
-        if self.kind == "halfspace":
-            nrm = _unit(self.normal)
-            s = pts @ nrm
-            return self.profile_d1(s)[:, None] * nrm[None, :]
-        if self.kind == "union":
-            out = np.zeros_like(pts)
-            for center, prof in self.members:
-                sub = CutoffFunction(self.n, self.eps, EMPTY, Ball(center, 1.0),
-                                     "ball", center=center, profile=prof)
-                out += sub.gradient(pts)
-            return out
-        c = np.asarray(self.center, dtype=float)
-        rel = pts - c
-        d = np.sqrt((rel**2).sum(axis=1))
-        safe = np.maximum(d, 1e-300)
-        return (self.profile_d1(d) / safe)[:, None] * rel
+        out = np.zeros_like(pts)
+        for m in self.members:
+            t = m.coordinate(pts)
+            _, d1 = m.derivatives(t, order=1)
+            out += (m.sign * d1)[:, None] * m.coordinate_gradient(pts, t)
+        return out
 
-    # -- direction-maximized derivative magnitudes ---------------------------
-
-    def scan_grid(self):
-        """Distance samples covering plateau, transition, and beyond."""
-        if self.kind == "const1":
-            return np.linspace(0.0, max(1.0, self.eps), 64)
-        if self.kind == "halfspace":
-            edge, a = self.profile.edge, self.profile.a
-            return np.linspace(edge - 3 * a, edge + 3 * a, _SCAN_POINTS)
-        prof = self.profile if self.kind != "union" else self.members[0][1]
-        hi = prof.support_radius + prof.a
-        return np.linspace(1e-9, hi, _SCAN_POINTS)
+    def _scans(self):
+        """Per member: (member, t, offset + sign * psi, psi', psi'') on its scan grid."""
+        out = []
+        for m in self.members:
+            t = m.scan_grid()
+            v, d1, d2 = m.derivatives(t)
+            out.append((m, t, self.offset + m.sign * v, d1, d2))
+        return out
 
     def derivative_maxima(self):
         """Max |partial^alpha phi| over R^n, per order 0, 1, 2."""
-        if self.kind == "union":
-            parts = [m.derivative_maxima() for m in self.member_functions()]
-            return {k: max(p[k] for p in parts) for k in (0, 1, 2)}
-        d = self.scan_grid()
-        v = self.profile_value(d)
-        d1 = self.profile_d1(d)
-        d2 = self.profile_d2(d)
-        out = {0: float(np.abs(v).max()), 1: float(np.abs(d1).max())}
-        if self.kind in ("halfspace", "const1") or self.n == 1:
-            out[2] = float(np.abs(d2).max())
-        else:
-            curv = np.abs(d1) / np.maximum(d, 1e-300)
-            out[2] = float(np.maximum(np.abs(d2), curv).max())
-        return out
+        return _maxima(self.offset, self._scans())
 
     @property
     def support_radius(self) -> Optional[float]:
-        if self.kind == "ball":
-            return self.profile.support_radius
-        if self.kind == "union":
-            return max(math.dist(c, self.members[0][0]) + p.support_radius
-                       for c, p in self.members)
-        return None
-
-    @property
-    def plateau_radius(self) -> Optional[float]:
-        if self.kind == "ball":
-            return self.profile.plateau_radius
-        return None
+        """Radius, about the first member's centre, of a ball holding the
+        support; None when the support is unbounded."""
+        balls = [m.support_ball() for m in self.members]
+        if self.offset or None in balls:
+            return None
+        if not balls:
+            return 0.0
+        first = balls[0][0]
+        return max(math.dist(c, first) + r for c, r in balls)
 
 
-def _region_center(region):
-    return tuple(float(c) for c in region.center)
+def _maxima(offset, scans) -> dict:
+    """Max |partial^alpha phi| per order from the members' scans.
+
+    The Hessian of psi(dist) has eigenvalues psi'' and psi' / (level-set
+    curvature radius); away from all members phi is the offset.
+    """
+    out = {0: abs(offset), 1: 0.0, 2: 0.0}
+    for m, t, v, d1, d2 in scans:
+        out[0] = max(out[0], float(np.abs(v).max()))
+        out[1] = max(out[1], float(np.abs(d1).max()))
+        curv = np.abs(d1) / m.level_radius(t)
+        out[2] = max(out[2], float(np.maximum(np.abs(d2), curv).max()))
+    return out
 
 
 def build_cutoff(F0, F1, eps: float, n: int) -> CutoffFunction:
@@ -413,30 +413,20 @@ def build_cutoff(F0, F1, eps: float, n: int) -> CutoffFunction:
             f"dist(F0, F1) = {dist:g} but the construction needs >= {eps:g}"
         )
     a = eps / 4.0
+    offset, members = 0.0, ()
     if isinstance(F1, WholeSpace):
-        return CutoffFunction(n, eps, F0, F1, "const1")
-    if isinstance(F1, Ball):
-        prof = _BallProfile(n, F1.radius + a, a)
-        return CutoffFunction(n, eps, F0, F1, "ball",
-                              center=_region_center(F1), profile=prof)
-    if isinstance(F1, ComplementOfBall):
-        inner = F1.radius - a
-        if inner <= 0:
-            return CutoffFunction(n, eps, F0, F1, "const1")
-        prof = _BallProfile(n, inner, a)
-        return CutoffFunction(n, eps, F0, F1, "cball",
-                              center=_region_center(F1), profile=prof)
-    if isinstance(F1, HalfSpace):
+        offset = 1.0
+    elif isinstance(F1, Ball):
+        members = (_RadialEdge(n, F1.center, F1.radius + a, a),)
+    elif isinstance(F1, ComplementOfBall):
+        offset = 1.0
+        if F1.radius - a > 0:
+            members = (_RadialEdge(n, F1.center, F1.radius - a, a, sign=-1.0),)
+    elif isinstance(F1, HalfSpace):
         # plateau begins at signed distance offset - a + a = offset; the
         # shifted edge keeps phi = 1 on F1 itself
-        prof = _Profile1D(n, F1.offset - a, a)
-        return CutoffFunction(n, eps, F0, F1, "halfspace",
-                              normal=tuple(F1.normal), profile=prof)
-    if isinstance(F1, UnionOfBalls):
-        members = []
-        for b in F1.balls:
-            members.append((tuple(float(c) for c in b.center),
-                            _BallProfile(n, b.radius + a, a)))
+        members = (_PlanarEdge(n, F1.normal, F1.offset - a, a),)
+    elif isinstance(F1, UnionOfBalls):
         for i in range(len(F1.balls)):
             for j in range(i + 1, len(F1.balls)):
                 gap = region_distance(F1.balls[i], F1.balls[j])
@@ -444,8 +434,10 @@ def build_cutoff(F0, F1, eps: float, n: int) -> CutoffFunction:
                     raise RegionsTooClose(
                         "union members too close for disjoint mollification"
                     )
-        return CutoffFunction(n, eps, F0, F1, "union", members=tuple(members))
-    raise TypeError(f"cannot mollify region {type(F1).__name__}")
+        members = tuple(_RadialEdge(n, b.center, b.radius + a, a) for b in F1.balls)
+    else:
+        raise TypeError(f"cannot mollify region {type(F1).__name__}")
+    return CutoffFunction(n, eps, F0, F1, offset, members)
 
 
 # ---------------------------------------------------------------------------
@@ -472,29 +464,16 @@ class VerificationReport:
         }
 
 
-def _region_samples(phi: CutoffFunction, region, which: str) -> np.ndarray:
-    """Distance samples lying inside the given region along the scan axis."""
-    d = phi.scan_grid()
-    if isinstance(region, EmptyRegion):
-        return d[:0]
-    if isinstance(region, WholeSpace):
-        return d
-    if phi.kind == "halfspace":
-        if isinstance(region, HalfSpace):
-            sgn = float(np.dot(_unit(phi.normal), _unit(region.normal)))
-            if sgn > 0:
-                return d[d >= region.offset]
-            return d[d <= -region.offset]
-        raise TypeError("half-space cutoffs pair with half-space regions")
-    if isinstance(region, Ball):
-        center_gap = math.dist(_region_center(region), phi.center or region.center)
-        return d[np.abs(d - center_gap) <= region.radius]
-    if isinstance(region, ComplementOfBall):
-        return d[d >= region.radius]
+def _region_samples(member, region, t) -> np.ndarray:
+    """Mask of the scan coordinates whose level set meets the region."""
+    if isinstance(region, (EmptyRegion, WholeSpace)):
+        return np.full(t.shape, isinstance(region, WholeSpace))
     if isinstance(region, UnionOfBalls):
-        parts = [_region_samples(phi, b, which) for b in region.balls]
-        return np.concatenate(parts) if parts else d[:0]
-    raise TypeError(f"cannot sample region {type(region).__name__}")
+        mask = np.zeros(t.shape, dtype=bool)
+        for b in region.balls:
+            mask |= member.level_meets(b, t)
+        return mask
+    return member.level_meets(region, t)
 
 
 def measured_constants(phi: CutoffFunction) -> dict:
@@ -505,39 +484,28 @@ def measured_constants(phi: CutoffFunction) -> dict:
 
 def verify_cutoff(phi: CutoffFunction, check_scaling: bool = True,
                   scales=(0.1, 1.0, 10.0)) -> VerificationReport:
-    """Check [0,1] bounds, boundary values, and eps-scaling of constants."""
-    if phi.kind == "union":
-        # members have disjoint supports: verify each against its own ball
-        # and certify the vanishing on F0 from support geometry
-        subs = [verify_cutoff(m, check_scaling=False)
-                for m in phi.member_functions()]
-        f0_gap = min(
-            region_distance(Ball(m.center, m.profile.support_radius), phi.F0)
-            for m in phi.member_functions()
-        )
-        passed = all(r.passed for r in subs) and f0_gap > 0
-        return VerificationReport(
-            bound_violation=max(r.bound_violation for r in subs),
-            f0_max=0.0 if f0_gap > 0 else 1.0,
-            f1_deviation=max(r.f1_deviation for r in subs),
-            c_hat={k: max(r.c_hat[k] for r in subs) for k in (0, 1, 2)},
-            scale_stability=None,
-            passed=passed,
-        )
-    d = phi.scan_grid()
-    v = phi.profile_value(d)
-    upper = float(np.maximum(v - 1.0, 0.0).max())
-    lower = float(np.maximum(-v, 0.0).max())
-    f0_samples = _region_samples(phi, phi.F0, "F0")
-    f1_samples = _region_samples(phi, phi.F1, "F1")
-    f0_max = float(np.abs(phi.profile_value(f0_samples)).max()) if f0_samples.size else 0.0
-    f1_dev = float(np.abs(phi.profile_value(f1_samples) - 1.0).max()) if f1_samples.size else 0.0
+    """Check [0,1] bounds, boundary values, and eps-scaling of constants.
 
-    c_hat = measured_constants(phi)
+    Each member is scanned along its own coordinate; the members of a sum
+    have disjoint supports, so the others vanish there.  The scaling
+    re-measure rebuilds a one-member cutoff at each scale.
+    """
+    scans = phi._scans()
+    upper = lower = f0_max = f1_dev = 0.0
+    for m, t, v, _, _ in scans:
+        upper = max(upper, float(np.maximum(v - 1.0, 0.0).max()))
+        lower = max(lower, float(np.maximum(-v, 0.0).max()))
+        f0 = v[_region_samples(m, phi.F0, t)]
+        f1 = v[_region_samples(m, phi.F1, t)]
+        f0_max = max(f0_max, float(np.abs(f0).max(initial=0.0)))
+        f1_dev = max(f1_dev, float(np.abs(f1 - 1.0).max(initial=0.0)))
+
+    c_hat = {order: phi.eps**order * value
+             for order, value in _maxima(phi.offset, scans).items()}
 
     stability = None
     stable = True
-    if check_scaling and phi.kind != "const1":
+    if check_scaling and len(phi.members) == 1:
         per_scale = {}
         for s in scales:
             factor = s / phi.eps
@@ -659,13 +627,12 @@ def partition_constants(family: CutoffFamily, samples: int = _SCAN_POINTS):
     alpha = 0.0
     for m in family.members:
         phi = m.phi
-        d = np.linspace(1e-9, phi.support_radius + phi.eps, samples)
-        d1 = phi.profile_d1(d)
-        d2 = phi.profile_d2(d)
-        n = phi.n
-        lap = d2 + (n - 1) * d1 / np.maximum(d, 1e-300)
-        e = max(e, float((d1**2).max()))
-        alpha = max(alpha, 2.0 * float((lap**2).max()))
+        t = np.linspace(1e-9, phi.support_radius + phi.eps, samples)
+        for edge in phi.members:
+            _, d1, d2 = edge.derivatives(t)
+            lap = d2 + (phi.n - 1) * d1 / edge.level_radius(t)
+            e = max(e, float((d1**2).max()))
+            alpha = max(alpha, 2.0 * float((lap**2).max()))
     return e, alpha, 4.0 * e
 
 
@@ -690,16 +657,7 @@ class LatticePartition:
         self.n = n
         self.spacing = 1.0 if n <= 3 else 1.8 / math.sqrt(n)
         a = (self.SUPPORT - self.PLATEAU) / 2.0
-        self._profile = _BallProfile(n, self.PLATEAU + a, a)
-        self._fd = 1e-6
-
-    def _psi(self, d):
-        return self._profile.value(d)
-
-    def _psi_d1(self, d):
-        h = self._fd
-        return (self._profile.value(np.asarray(d) + h)
-                - self._profile.value(np.asarray(d) - h)) / (2 * h)
+        self._edge = _RadialEdge(n, (0.0,) * n, self.PLATEAU + a, a)
 
     def sites_near(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -709,14 +667,15 @@ class LatticePartition:
                             indexing="ij")
         sites = np.stack([g.ravel() for g in grids], axis=1) * self.spacing
         d = np.sqrt(((sites - x) ** 2).sum(axis=1))
-        return sites[d < self.SUPPORT + self._fd * 4]
+        # sites just outside the support still carry a difference-quotient slope
+        return sites[d < self.SUPPORT + 4 * self._edge.fd_steps[0]]
 
     def unnormalized_sq_sum(self, x) -> float:
         sites = self.sites_near(x)
         if sites.size == 0:
             return 0.0
         d = np.sqrt(((sites - np.asarray(x, dtype=float)) ** 2).sum(axis=1))
-        return float((self._psi(d) ** 2).sum())
+        return float((self._edge.psi(d) ** 2).sum())
 
     def values_and_grads(self, x):
         """Normalized member values and gradients contributing at x."""
@@ -724,8 +683,7 @@ class LatticePartition:
         sites = self.sites_near(x)
         rel = x[None, :] - sites
         d = np.sqrt((rel**2).sum(axis=1))
-        psi = self._psi(d)
-        dpsi = self._psi_d1(d)
+        psi, dpsi = self._edge.derivatives(d, order=1)
         grads_psi = (dpsi / np.maximum(d, 1e-300))[:, None] * rel
         ssq = float((psi**2).sum())
         s = math.sqrt(ssq)
@@ -742,10 +700,6 @@ class LatticePartition:
         """sum_j phi_j grad phi_j, identically zero for the normalized family."""
         _, vals, grads = self.values_and_grads(x)
         return (vals[:, None] * grads).sum(axis=0)
-
-
-def lattice_partition(n: int) -> LatticePartition:
-    return LatticePartition(n)
 
 
 # ---------------------------------------------------------------------------

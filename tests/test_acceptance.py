@@ -43,8 +43,8 @@ from defectsum.errors import HardyViolation
 from defectsum.partition import (
     Ball,
     ComplementOfBall,
+    LatticePartition,
     build_cutoff,
-    lattice_partition,
     measured_constants,
     verify_cutoff,
 )
@@ -245,7 +245,7 @@ def test_criterion_07_hardy_certificate():
 
 def test_criterion_08_lattice_partition():
     for n in (1, 2, 3):
-        lp = lattice_partition(n)
+        lp = LatticePartition(n)
         rng = np.random.default_rng(300 + n)
         pts = rng.uniform(0.0, lp.spacing, size=(1000, n))
         for p in pts:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from defectsum import cli
+from defectsum._gridtable import load_grid
 from defectsum.support import GridFunction
 
 REPO = Path(__file__).resolve().parents[1]
@@ -268,3 +269,30 @@ def test_text_format(capsys):
                                  "--format", "text"])
     assert code == 0
     assert "numeric: limit_point" in out
+
+
+def test_partition_export_grid(capsys, tmp_path):
+    cfg = {
+        "version": 1, "dimension": 2, "background": {"sup_norm": 0.0},
+        "singularities": [
+            {"kind": "point", "position": [0.0, 0.0], "coupling": 1.0,
+             "cutoff": 0.5, "perturbation": None},
+            {"kind": "point", "position": [3.0, 0.0], "coupling": 0.0,
+             "cutoff": 0.5, "perturbation": None},
+        ],
+        "lattice": None, "declared_epsilon": None,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    grid = tmp_path / "grid.json"
+    code, out = run_cli(capsys, ["partition", "--config", str(path),
+                                 "--export-grid", str(grid)])
+    assert code == 0
+    assert json.loads(out)["exported_grid"] == str(grid)
+    bbox, values, mask, _ = load_grid(grid)
+    assert values.shape == (33, 33) and mask is None
+    assert values.min() >= 0.0 and values.max() <= 1.0
+    # the grid is centred on the first singularity, inside the plateau,
+    # and its corners lie beyond the support
+    assert values[16, 16] == 1.0 and values[0, 0] == 0.0
+    assert bbox[0][0] < 0.0 < bbox[0][1]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from defectsum.core import (
     Background,
+    DefectRecord,
     INF,
     InverseSquarePoint,
     LatticeGenerator,
@@ -19,8 +20,6 @@ from defectsum.core import (
     config_from_json_dict,
     dump_config,
     load_config,
-    make_defect,
-    restrict_extension,
     validate_config,
 )
 from defectsum.errors import (
@@ -38,35 +37,35 @@ from defectsum.errors import (
 
 
 def test_make_defect_examples():
-    assert make_defect(1, 1).def_value == 1
-    assert make_defect(0, 0).def_value == 0
-    assert make_defect(INF, 3).def_value == INF
+    assert DefectRecord(1, 1).def_value == 1
+    assert DefectRecord(0, 0).def_value == 0
+    assert DefectRecord(INF, 3).def_value == INF
 
 
 def test_def_value_half_integer():
-    assert make_defect(1, 2).def_value == 1.5
-    assert make_defect(1, 2).to_json()["def"] == 1.5
-    assert make_defect(1, 1).to_json()["def"] == 1
+    assert DefectRecord(1, 2).def_value == 1.5
+    assert DefectRecord(1, 2).to_json()["def"] == 1.5
+    assert DefectRecord(1, 1).to_json()["def"] == 1
 
 
 def test_restrict_extension_examples():
-    assert restrict_extension(make_defect(2, 2), 1) == make_defect(1, 1)
-    assert restrict_extension(make_defect(7, 7), 0) == make_defect(7, 7)
-    assert restrict_extension(make_defect(INF, INF), 5) == make_defect(INF, INF)
+    assert DefectRecord(2, 2).restricted(1) == DefectRecord(1, 1)
+    assert DefectRecord(7, 7).restricted(0) == DefectRecord(7, 7)
+    assert DefectRecord(INF, INF).restricted(5) == DefectRecord(INF, INF)
 
 
 def test_restrict_extension_too_large():
     with pytest.raises(DimensionTooLarge):
-        restrict_extension(make_defect(2, 2), 3)
+        DefectRecord(2, 2).restricted(3)
     with pytest.raises(DimensionTooLarge):
-        restrict_extension(make_defect(INF, 3), 5)
+        DefectRecord(INF, 3).restricted(5)
 
 
 def test_rejects_negative_and_float_indices():
     with pytest.raises(ValueError):
-        make_defect(-1, 0)
+        DefectRecord(-1, 0)
     with pytest.raises(TypeError):
-        make_defect(1.5, 0)
+        DefectRecord(1.5, 0)
 
 
 ext_nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
@@ -75,16 +74,16 @@ ext_nat = st.one_of(st.integers(min_value=0, max_value=50), st.just(INF))
 @given(st.lists(st.tuples(ext_nat, ext_nat), min_size=0, max_size=8))
 @hyp_settings(max_examples=200, deadline=None)
 def test_extended_sum_order_independent(pairs):
-    records = [make_defect(a, b) for a, b in pairs]
+    records = [DefectRecord(a, b) for a, b in pairs]
     total = add_defects(records)
     for perm in itertools.islice(itertools.permutations(records), 24):
         assert add_defects(perm) == total
 
 
 def test_scaled_infinite_count():
-    assert make_defect(1, 1).scaled(INF) == make_defect(INF, INF)
-    assert make_defect(0, 0).scaled(INF) == make_defect(0, 0)
-    assert make_defect(2, 2).scaled(3) == make_defect(6, 6)
+    assert DefectRecord(1, 1).scaled(INF) == DefectRecord(INF, INF)
+    assert DefectRecord(0, 0).scaled(INF) == DefectRecord(0, 0)
+    assert DefectRecord(2, 2).scaled(3) == DefectRecord(6, 6)
 
 
 # ---------------------------------------------------------------------------

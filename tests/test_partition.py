@@ -9,17 +9,19 @@ from defectsum.core import (
     SingularityConfig,
     validate_config,
 )
+from defectsum import partition
 from defectsum.errors import RegionsTooClose
 from defectsum.partition import (
     Ball,
     ComplementOfBall,
     EMPTY,
     HalfSpace,
+    LatticePartition,
     UnionOfBalls,
     WHOLE,
     build_cutoff,
     build_family,
-    lattice_partition,
+    measured_constants,
     partition_constants,
     region_distance,
     verify_cutoff,
@@ -126,6 +128,86 @@ def test_union_of_balls_cutoff():
     assert report.c_hat[1] > 0
 
 
+# One case per cutoff shape: (F0, F1, eps, n, half-width of the sample box
+# about the origin).  The empty union is the zero function.
+SHAPES = {
+    "ball": (ComplementOfBall((0.0, 0.0, 0.0), 3.0), Ball((0.0, 0.0, 0.0), 1.0),
+             1.0, 3, 4.0),
+    "complement": (Ball((0.5, -0.5), 0.8), ComplementOfBall((0.5, -0.5), 2.0),
+                   1.0, 2, 4.0),
+    "halfspace": (HalfSpace((-1.0, 0.0), -1.0), HalfSpace((1.0, 0.0), 2.0),
+                  1.0, 2, 4.0),
+    "union": (ComplementOfBall((2.5, 0.0), 6.0),
+              UnionOfBalls((Ball((0.0, 0.0), 0.5), Ball((5.0, 0.0), 0.5))), 1.0, 2, 7.0),
+    "whole": (EMPTY, WHOLE, 1.0, 2, 4.0),
+    "empty_union": (EMPTY, UnionOfBalls(()), 1.0, 2, 4.0),
+}
+
+
+def _inside(region, pts):
+    if region is WHOLE:
+        return np.ones(len(pts), dtype=bool)
+    if region is EMPTY:
+        return np.zeros(len(pts), dtype=bool)
+    if isinstance(region, UnionOfBalls):
+        return np.logical_or.reduce([_inside(b, pts) for b in region.balls]
+                                    + [_inside(EMPTY, pts)])
+    if isinstance(region, HalfSpace):
+        return pts @ (np.asarray(region.normal) / math.hypot(*region.normal)) >= region.offset
+    d = np.sqrt(((pts - np.asarray(region.center)) ** 2).sum(axis=1))
+    return d <= region.radius if isinstance(region, Ball) else d >= region.radius
+
+
+def _shape_points(name, count=4000):
+    F0, F1, eps, n, half = SHAPES[name]
+    rng = np.random.default_rng(sorted(SHAPES).index(name))
+    return rng.uniform(-half, half, size=(count, n))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shape_values_plateau_and_vanishing(name):
+    F0, F1, eps, n, _ = SHAPES[name]
+    phi = build_cutoff(F0, F1, eps, n)
+    pts = _shape_points(name)
+    v = phi.value(pts)
+    assert v.min() >= 0.0 and v.max() <= 1.0 + 1e-12
+    assert np.all(v[_inside(F1, pts)] == 1.0)
+    assert np.all(v[_inside(F0, pts)] == 0.0)
+    if name == "empty_union":
+        assert np.all(v == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shape_gradient_matches_central_difference(name):
+    F0, F1, eps, n, _ = SHAPES[name]
+    phi = build_cutoff(F0, F1, eps, n)
+    pts = _shape_points(name)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(pts.shape)
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    h = eps * partition._FD_REL_STEP_1
+    fd = (phi.value(pts + h * u) - phi.value(pts - h * u)) / (2.0 * h)
+    got = (phi.gradient(pts) * u).sum(axis=1)
+    # in two dimensions the cap fraction has square-root ends, so both
+    # differences carry a few percent of quadrature-node noise
+    scale = max(1.0, np.abs(fd).max())
+    assert np.abs(got - fd).max() <= 0.05 * scale, np.abs(got - fd).max()
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shape_verify_cutoff_passes(name):
+    F0, F1, eps, n, _ = SHAPES[name]
+    phi = build_cutoff(F0, F1, eps, n)
+    report = verify_cutoff(phi)
+    assert report.passed
+    constants = measured_constants(phi)
+    if name == "empty_union":
+        assert constants == {0: 0.0, 1: 0.0, 2: 0.0}
+        assert phi.support_radius == 0.0
+    else:
+        assert constants[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Families
 
@@ -216,7 +298,7 @@ def test_partition_constants_scale():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_partition_sum_of_squares(n):
-    lp = lattice_partition(n)
+    lp = LatticePartition(n)
     rng = np.random.default_rng(n)
     pts = rng.uniform(0.0, lp.spacing, size=(200, n))
     for p in pts:
@@ -225,7 +307,7 @@ def test_lattice_partition_sum_of_squares(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lattice_partition_unnormalized_lower_bound(n):
-    lp = lattice_partition(n)
+    lp = LatticePartition(n)
     grid = np.linspace(0.0, lp.spacing, 9)
     mesh = np.meshgrid(*([grid] * n), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -234,15 +316,40 @@ def test_lattice_partition_unnormalized_lower_bound(n):
 
 
 def test_lattice_partition_cross_term_cancels():
-    lp = lattice_partition(2)
+    lp = LatticePartition(2)
     rng = np.random.default_rng(9)
     for p in rng.uniform(0.0, 1.0, size=(100, 2)):
         assert np.abs(lp.cross_term(p)).max() < 1e-10
 
 
 def test_lattice_partition_locally_finite():
-    lp = lattice_partition(2)
+    lp = LatticePartition(2)
     sites = lp.sites_near((0.0, 0.0))
     assert len(sites) <= 9
     d = np.sqrt((sites**2).sum(axis=1))
     assert d.max() < 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_partition_gradients_match_central_difference(n):
+    # d/dx_k of each normalized member, against a central difference of the
+    # normalized values at a step above the profile's quadrature-node scale
+    lp = LatticePartition(n)
+    rng = np.random.default_rng(40 + n)
+    h = 2e-4
+    worst = scale = 0.0
+    for x in rng.uniform(0.0, lp.spacing, size=(100, n)):
+        sites, _, grads = lp.values_and_grads(x)
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = h
+            sides = []
+            for y in (x + step, x - step):
+                s, vals, _ = lp.values_and_grads(y)
+                lookup = {tuple(np.round(p, 9)): v for p, v in zip(s, vals)}
+                sides.append(np.array([lookup.get(tuple(np.round(p, 9)), 0.0)
+                                       for p in sites]))
+            fd = (sides[0] - sides[1]) / (2.0 * h)
+            worst = max(worst, float(np.abs(grads[:, k] - fd).max()))
+            scale = max(scale, float(np.abs(fd).max()))
+    assert worst <= 0.02 * scale, (worst, scale)
