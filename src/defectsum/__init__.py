@@ -3,9 +3,13 @@ carry countably many uniformly separated singularities.
 
 The total defect of such an operator is the extended-natural sum of the
 defects of the localized single-singularity pieces; this package computes
-the per-piece values in closed form, corroborates them with a numeric
-limit-point / limit-circle oracle, and assembles machine-readable
-certificates of essential self-adjointness.
+the per-piece values and assembles machine-readable certificates of
+essential self-adjointness.  Point and custom pieces are decided by the
+closed-form channel rule, and their entries hold closed-form channel
+classes only; shells are decided by the numeric limit-point /
+limit-circle oracle, and their entries hold each side's numeric class and
+fitted exponent only.  Agreement between the closed form and the oracle
+is checked by the acceptance suite, not per certificate.
 """
 
 __version__ = "0.1.0"

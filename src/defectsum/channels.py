@@ -4,8 +4,11 @@ An n-dimensional point singularity c/r^2 splits into radial channels
 indexed by the harmonic degree l; each channel is an inverse-square
 problem with effective coupling c + (n-1)(n-3)/4 + l(l+n-2) and carries
 the dimension of the degree-l harmonic space as its multiplicity.  The
-closed-form threshold 3/4 decides each channel; the numeric oracle in
-``weyl`` corroborates every non-borderline channel.
+closed-form threshold 3/4 decides each channel, and channel tables hold
+these closed-form classes only.  ``channel_oracle_count`` runs the numeric
+oracle in ``weyl`` on one channel; the acceptance suite checks that the two
+routes agree.  Shell sides have no closed form here: ``shell_defect`` takes
+each side's class from the oracle.
 """
 
 from __future__ import annotations

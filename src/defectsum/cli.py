@@ -84,7 +84,6 @@ def _emit(report: dict, fmt: str) -> None:
 def _cmd_defect(args, settings):
     cfg = load_config(args.config)
     cert = decouple.essential_selfadjointness(cfg, settings=settings,
-                                              threads=args.threads,
                                               lmax=args.lmax)
     code = {
         "essentially_self_adjoint": EXIT_OK,
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="indeterminate band for the numeric classifier")
         p.add_argument("--lmax", type=int, default=None,
                        help="channel truncation override for reports")
-        p.add_argument("--threads", type=int, default=1)
 
     common(sub.add_parser("defect", help="full defect certificate"))
     common(sub.add_parser("certify", help="verdict only"))
@@ -297,7 +295,8 @@ def run(argv=None):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             payload, digest, code = handler(args, settings)
-        # sorted and deduplicated so that threaded runs stay byte-identical
+        # sorted and deduplicated: a warning raised once per channel or piece
+        # would otherwise repeat in the report
         warning_messages = sorted({str(w.message) for w in caught})
     except DefectsumError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ a positive one gives infinity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,27 +243,18 @@ def _verdict(total: Optional[DefectRecord]) -> str:
 
 def aggregate_defect(loc: LocalizedConfig,
                      settings: WeylSettings = DEFAULT_SETTINGS,
-                     threads: int = 1,
                      lmax: Optional[int] = None) -> DefectCertificate:
     """Extended-natural sum of per-singularity defects with evidence."""
     n = loc.validated.n
     cfg = loc.validated.config
-
-    def work(piece):
-        return _piece_defect(n, piece.spec, settings, lmax)
-
-    if threads > 1 and len(loc.pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, loc.pieces))
-    else:
-        results = [work(p) for p in loc.pieces]
 
     entries = []
     total: Optional[DefectRecord] = ZERO_DEFECT
     first_violation = None
     lattice_multiplicity = None
 
-    for idx, (piece, (record, evidence)) in enumerate(zip(loc.pieces, results)):
+    for idx, piece in enumerate(loc.pieces):
+        record, evidence = _piece_defect(n, piece.spec, settings, lmax)
         evidence = dict(evidence)
         evidence["remainder_sup"] = piece.remainder_sup
         entries.append(CertificateEntry(idx, piece.position, record, evidence))
@@ -317,11 +307,10 @@ def _empty_certificate(cfg: SingularityConfig) -> DefectCertificate:
 
 def essential_selfadjointness(cfg: SingularityConfig,
                               settings: WeylSettings = DEFAULT_SETTINGS,
-                              threads: int = 1,
                               lmax: Optional[int] = None) -> DefectCertificate:
     """Full pipeline: validate, localize, aggregate, and render a verdict."""
     if cfg.is_empty:
         return _empty_certificate(cfg)
     validated = validate_config(cfg)
     loc = localize(validated)
-    return aggregate_defect(loc, settings=settings, threads=threads, lmax=lmax)
+    return aggregate_defect(loc, settings=settings, lmax=lmax)

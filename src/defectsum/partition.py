@@ -272,7 +272,11 @@ class _RadialEdge(_Edge):
         return np.linspace(1e-9, self.support + self.a, _SCAN_POINTS)
 
     def level_meets(self, region, t):
-        """Which spheres {|x - centre| = t} meet the ball or ball complement."""
+        """Which spheres {|x - centre| = t} meet the ball, ball complement or
+        half space {x . n >= offset}, n the unit normal."""
+        if isinstance(region, HalfSpace):
+            # the sphere reaches up to n . centre + t along n
+            return float(np.dot(_unit(region.normal), self.centre)) + t >= region.offset
         if not isinstance(region, (Ball, ComplementOfBall)):
             raise TypeError(f"cannot sample region {type(region).__name__}")
         gap = math.dist(self.centre, region.center)

@@ -83,16 +83,19 @@ def test_criterion_02_oracle_agreement():
     values = [float(q) for q in np.linspace(-5.0, 5.0, 500)
               if abs(float(q) - 0.75) >= 1e-3]
     assert len(values) == 500
-    # warm-up outside the timed region (compilation happens in conftest)
+    # warm-up outside the timed region
     weyl_classify_numeric(_inverse_square_problem(1.3))
-    worst = 0.0
+    worst, worst_q0 = 0.0, None
     for q0 in values:
         problem = _inverse_square_problem(q0)
         t0 = time.perf_counter()
         numeric = weyl_classify_numeric(problem)
-        worst = max(worst, time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        if elapsed > worst:
+            worst, worst_q0 = elapsed, q0
         assert numeric.kind == frobenius_classify_inverse_square(q0).kind, q0
-        assert worst < 0.050, (q0, worst)
+    # judged after the loop, so every agreement check above has run
+    assert worst < 0.050, (worst_q0, worst)
     _announce(2, f"numeric oracle matched the closed form at 500 couplings, "
                  f"max {worst * 1e3:.1f} ms per classification")
 

@@ -106,14 +106,6 @@ def test_aggregate_additivity_matches_singletons():
     assert cert.total == add_defects(singles)
 
 
-def test_aggregate_threads_match_serial():
-    cfg = _points_config(4, (-1.0, 0.0, -4.0, 2.0))
-    serial = essential_selfadjointness(cfg, threads=1)
-    parallel = essential_selfadjointness(cfg, threads=4)
-    assert serial.total == parallel.total
-    assert [e.record for e in serial.entries] == [e.record for e in parallel.entries]
-
-
 def test_lattice_infinite_zero_orbit():
     lat = LatticeGenerator(
         tuple(tuple(1.0 if j == i else 0.0 for j in range(5)) for i in range(2)),

@@ -141,6 +141,10 @@ SHAPES = {
               UnionOfBalls((Ball((0.0, 0.0), 0.5), Ball((5.0, 0.0), 0.5))), 1.0, 2, 7.0),
     "whole": (EMPTY, WHOLE, 1.0, 2, 4.0),
     "empty_union": (EMPTY, UnionOfBalls(()), 1.0, 2, 4.0),
+    # a ball cutoff whose F0 is a half space; the key sorts last, so the
+    # other shapes keep their sample seeds
+    "with_halfspace_f0": (HalfSpace((1.0, 0.0), 3.0), Ball((0.0, 0.0), 1.0),
+                          1.0, 2, 4.0),
 }
 
 
