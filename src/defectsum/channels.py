@@ -70,8 +70,32 @@ def _warn_borderline(n: int, c: float, l: int, q_eff: float) -> None:
             f"{BORDERLINE_TOL:g} of the limit-point threshold; the closed-form "
             "rule (>= includes equality) decides limit point",
             BorderlineChannelWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _walk and the public function, to its caller
         )
+
+
+@dataclass(frozen=True)
+class ChannelEntry:
+    l: int
+    q_eff: float
+    multiplicity: int
+    endpoint_class: EndpointClass
+
+
+def _walk(n: int, c: float, l_max=None) -> tuple:
+    """Closed-form channel entries for l = 0 .. l_max, or through the first
+    limit-point channel when l_max is None; warns on borderline channels."""
+    entries = []
+    l = 0
+    while l_max is None or l <= l_max:
+        q_eff = effective_coupling(n, c, l)
+        _warn_borderline(n, c, l, q_eff)
+        cls = LIMIT_POINT if q_eff >= THRESHOLD_COUPLING else LIMIT_CIRCLE
+        entries.append(ChannelEntry(l, q_eff, harmonic_multiplicity(n, l), cls))
+        if l_max is None and cls.is_limit_point:
+            break
+        l += 1
+    return tuple(entries)
 
 
 def point_defect(n: int, c: float) -> DefectRecord:
@@ -81,24 +105,9 @@ def point_defect(n: int, c: float) -> DefectRecord:
     coupling lies strictly below 3/4; the sum is finite because the
     coupling grows like l^2.
     """
-    total = 0
-    l = 0
-    while True:
-        q_eff = effective_coupling(n, c, l)
-        _warn_borderline(n, c, l, q_eff)
-        if q_eff >= THRESHOLD_COUPLING:
-            break
-        total += harmonic_multiplicity(n, l)
-        l += 1
+    total = sum(e.multiplicity for e in _walk(n, c)
+                if e.endpoint_class.is_limit_circle)
     return DefectRecord(total, total)
-
-
-@dataclass(frozen=True)
-class ChannelEntry:
-    l: int
-    q_eff: float
-    multiplicity: int
-    endpoint_class: EndpointClass
 
 
 @dataclass(frozen=True)
@@ -117,28 +126,17 @@ class ChannelSpectrum:
 
 def channel_spectrum(n: int, c: float, l_max: int) -> ChannelSpectrum:
     """Channel table up to degree l_max (closed-form classes)."""
-    entries = []
-    first_lp = None
-    for l in range(l_max + 1):
-        q_eff = effective_coupling(n, c, l)
-        _warn_borderline(n, c, l, q_eff)
-        cls = LIMIT_POINT if q_eff >= THRESHOLD_COUPLING else LIMIT_CIRCLE
-        if cls.is_limit_point and first_lp is None:
-            first_lp = l
-        entries.append(ChannelEntry(l, q_eff, harmonic_multiplicity(n, l), cls))
-    if first_lp is None:
+    entries = _walk(n, c, l_max)
+    if not any(e.endpoint_class.is_limit_point for e in entries):
         raise TruncationTooSmall(
             f"l_max={l_max} is below the first limit-point channel for n={n}, c={c}"
         )
-    return ChannelSpectrum(n=n, entries=tuple(entries), tail_limit_point=True)
+    return ChannelSpectrum(n=n, entries=entries, tail_limit_point=True)
 
 
 def point_spectrum_evidence(n: int, c: float) -> ChannelSpectrum:
     """Table covering all limit-circle channels plus the first limit-point one."""
-    l = 0
-    while effective_coupling(n, c, l) < THRESHOLD_COUPLING:
-        l += 1
-    return channel_spectrum(n, c, l)
+    return ChannelSpectrum(n=n, entries=_walk(n, c), tail_limit_point=True)
 
 
 def channel_oracle_count(n: int, c: float, l: int,

@@ -83,8 +83,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _cmd_defect(args, settings):
     cfg = load_config(args.config)
-    cert = decouple.essential_selfadjointness(cfg, settings=settings,
-                                              lmax=args.lmax)
+    cert = decouple.essential_selfadjointness(cfg, settings=settings)
     code = {
         "essentially_self_adjoint": EXIT_OK,
         "positive_defect": EXIT_FAIL,
@@ -232,20 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, needs_config=True, classifies=False):
         if needs_config:
             p.add_argument("--config", required=True, help="configuration file (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--tolerance-band", type=float, default=None,
-                       help="indeterminate band for the numeric classifier")
-        p.add_argument("--lmax", type=int, default=None,
-                       help="channel truncation override for reports")
+        if classifies:
+            p.add_argument("--tolerance-band", type=float, default=None,
+                           help="indeterminate band for the numeric classifier")
 
-    common(sub.add_parser("defect", help="full defect certificate"))
-    common(sub.add_parser("certify", help="verdict only"))
+    common(sub.add_parser("defect", help="full defect certificate"), classifies=True)
+    common(sub.add_parser("certify", help="verdict only"), classifies=True)
 
     pc = sub.add_parser("classify", help="single-channel endpoint classification")
-    common(pc, needs_config=False)
+    common(pc, needs_config=False, classifies=True)
     pc.add_argument("--coupling", type=float, required=True,
                     help="inverse-square coupling q0")
     pc.add_argument("--endpoint", choices=("inner", "outer"), default="inner")

@@ -3,9 +3,10 @@ configurations, and separation validation.
 
 Deficiency indices are carried as extended naturals (a non-negative int or
 ``math.inf``).  Configurations hold either an explicit finite list of
-singularities or a single lattice generator; validation computes the
-uniform separation between singular supports rather than trusting any
-declared value.
+singularities or a single lattice generator; ``SingularityConfig.placements``
+is the one list of singular supports that the rest of the pipeline reads.
+Validation computes the uniform separation between singular supports
+rather than trusting any declared value.
 """
 
 from __future__ import annotations
@@ -486,6 +487,22 @@ class SingularityConfig:
     @property
     def is_empty(self) -> bool:
         return not self.singularities and self.lattice is None
+
+    @property
+    def placements(self) -> tuple:
+        """Singular supports as ``(index, position, spec, multiplicity)``.
+
+        Explicit singularity i gives ``(i, position, spec, 1)``; a lattice
+        gives one ``("orbit", origin, spec, site_count())`` entry, whose
+        multiplicity may be inf.  Downstream layers loop over this list
+        and never branch on where a support came from.
+        """
+        placed = tuple((i, s.position, s.spec, 1)
+                       for i, s in enumerate(self.singularities))
+        if self.lattice is not None:
+            lat = self.lattice
+            placed += (("orbit", lat.origin, lat.spec, lat.site_count()),)
+        return placed
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,9 +4,11 @@ and aggregate them into a certificate.
 The total deficiency record is the extended-natural sum of the
 per-singularity records; bounded backgrounds and the bounded localization
 remainders are reported but do not enter the sum, since deficiency
-indices are stable under bounded perturbations.  Infinite lattice
-families are handled symbolically: a zero orbit defect gives total zero,
-a positive one gives infinity.
+indices are stable under bounded perturbations.  Every singular support
+of ``SingularityConfig.placements`` is one piece; a lattice orbit is the
+piece at its origin, counted once per site, so an infinite family is
+handled symbolically: a zero orbit defect gives total zero, a positive one
+gives infinity.
 """
 
 from __future__ import annotations
@@ -26,16 +28,22 @@ from .core import (
     SingularityConfig,
     ValidatedConfig,
     ZERO_DEFECT,
+    ext_to_json,
     validate_config,
 )
 from .channels import (
-    channel_spectrum,
     point_defect,
     point_spectrum_evidence,
     shell_defect,
     shell_side_classifications,
 )
-from .errors import ShellIndeterminate, UnboundedRemainder, UnsupportedPotential
+from .errors import (
+    IntegrationFailure,
+    NonFiniteCoefficient,
+    ShellIndeterminate,
+    UnboundedRemainder,
+    UnsupportedPotential,
+)
 from .weyl import DEFAULT_SETTINGS, WeylSettings
 
 TRUST_NOTE = (
@@ -54,25 +62,18 @@ REMAINDER_NOTE = (
 
 @dataclass(frozen=True)
 class LocalizedPiece:
+    index: object              # int or "orbit"
     position: tuple
     spec: object
+    multiplicity: object       # sites the piece stands for: 1, a count, or inf
     local_radius: float        # radius of the ball carrying the singular core
     remainder_sup: float       # sup of the profile on the trimmed annulus
-
-    def to_json(self) -> dict:
-        return {
-            "position": list(self.position),
-            "spec": self.spec.to_json(),
-            "local_radius": self.local_radius,
-            "remainder_sup": self.remainder_sup,
-        }
 
 
 @dataclass(frozen=True)
 class LocalizedConfig:
     validated: ValidatedConfig
-    pieces: tuple              # LocalizedPiece per explicit singularity
-    orbit_piece: Optional[LocalizedPiece]  # for lattice configs
+    pieces: tuple              # LocalizedPiece per placement of the config
     remainder_bound: float     # sup_j of the per-piece remainder sups
     background_sup: float
 
@@ -101,7 +102,8 @@ def annulus_sup(profile, lo: float, hi: float, samples: int = 2048) -> float:
     return float(vals.max())
 
 
-def _localize_one(position, spec, split_radius: float) -> LocalizedPiece:
+def _localize_one(placement, split_radius: float) -> LocalizedPiece:
+    index, position, spec, multiplicity = placement
     delta = spec.delta
     if isinstance(spec, Shell) and math.isfinite(split_radius) \
             and spec.r0 >= split_radius:
@@ -110,9 +112,9 @@ def _localize_one(position, spec, split_radius: float) -> LocalizedPiece:
             f"of radius {split_radius:g}; the annulus is unbounded"
         )
     if not math.isfinite(split_radius) or split_radius >= delta:
-        return LocalizedPiece(position, spec, delta, 0.0)
+        return LocalizedPiece(index, position, spec, multiplicity, delta, 0.0)
     sup = annulus_sup(_profile_callable(spec), split_radius, delta)
-    return LocalizedPiece(position, spec, split_radius, sup)
+    return LocalizedPiece(index, position, spec, multiplicity, split_radius, sup)
 
 
 def localize(validated: ValidatedConfig,
@@ -123,20 +125,11 @@ def localize(validated: ValidatedConfig,
     if split_radius is not None and math.isfinite(validated.epsilon):
         if not 0.0 < split_radius <= validated.epsilon / 2.0:
             raise ValueError("split radius must lie in (0, epsilon/2]")
-    pieces = tuple(
-        _localize_one(s.position, s.spec, rho) for s in cfg.singularities
-    )
-    orbit_piece = None
-    if cfg.lattice is not None:
-        orbit_piece = _localize_one(cfg.lattice.origin, cfg.lattice.spec, rho)
-    sups = [p.remainder_sup for p in pieces]
-    if orbit_piece is not None:
-        sups.append(orbit_piece.remainder_sup)
+    pieces = tuple(_localize_one(placement, rho) for placement in cfg.placements)
     return LocalizedConfig(
         validated=validated,
         pieces=pieces,
-        orbit_piece=orbit_piece,
-        remainder_bound=max(sups) if sups else 0.0,
+        remainder_bound=max((p.remainder_sup for p in pieces), default=0.0),
         background_sup=cfg.background.sup_norm,
     )
 
@@ -145,25 +138,19 @@ def localize(validated: ValidatedConfig,
 # Per-piece defects with evidence
 
 
-def _point_spectrum(n: int, c: float, lmax: Optional[int]):
-    if lmax is None:
-        return point_spectrum_evidence(n, c)
-    return channel_spectrum(n, c, lmax)
-
-
-def _piece_defect(n: int, spec, settings: WeylSettings,
-                  lmax: Optional[int] = None):
+def _piece_defect(n: int, spec, settings: WeylSettings):
     """(record or None, evidence dict); None marks an indeterminate piece."""
-    if isinstance(spec, InverseSquarePoint):
-        record = point_defect(n, spec.coupling)
-        spectrum = _point_spectrum(n, spec.coupling, lmax)
-        return record, {"kind": "point", "channels": spectrum.to_json()}
     if isinstance(spec, Shell):
         try:
             record = shell_defect(n, spec, settings)
+            sides = shell_side_classifications(spec, settings)
         except ShellIndeterminate as exc:
             return None, {"kind": "shell", "indeterminate_band": exc.band}
-        sides = shell_side_classifications(spec, settings)
+        except (IntegrationFailure, NonFiniteCoefficient) as exc:
+            # valid input that the oracle cannot resolve; uncaught, these
+            # DefectsumErrors would be reported as invalid input
+            return None, {"kind": "shell",
+                          "indeterminate_reason": f"{type(exc).__name__}: {exc}"}
         evidence = {
             "kind": "shell",
             "sides": [
@@ -172,16 +159,19 @@ def _piece_defect(n: int, spec, settings: WeylSettings,
             ],
         }
         return record, evidence
-    if isinstance(spec, CustomRadial):
-        c_eff = spec.endpoint_coupling if spec.endpoint_coupling is not None else 0.0
-        record = point_defect(n, c_eff)
-        spectrum = _point_spectrum(n, c_eff, lmax)
-        return record, {
-            "kind": "custom",
-            "declared_coupling": c_eff,
-            "channels": spectrum.to_json(),
-        }
-    raise UnsupportedPotential(f"cannot compute a defect for {type(spec).__name__}")
+    if isinstance(spec, InverseSquarePoint):
+        c, evidence = spec.coupling, {"kind": "point"}
+    elif isinstance(spec, CustomRadial):
+        # a point at its declared coupling, or at 0 (a bounded endpoint) when
+        # none is declared
+        c = 0.0 if spec.endpoint_coupling is None else spec.endpoint_coupling
+        evidence = {"kind": "custom", "declared_coupling": c}
+    else:
+        raise UnsupportedPotential(
+            f"cannot compute a defect for {type(spec).__name__}")
+    record = point_defect(n, c)
+    evidence["channels"] = point_spectrum_evidence(n, c).to_json()
+    return record, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -242,42 +232,31 @@ def _verdict(total: Optional[DefectRecord]) -> str:
 
 
 def aggregate_defect(loc: LocalizedConfig,
-                     settings: WeylSettings = DEFAULT_SETTINGS,
-                     lmax: Optional[int] = None) -> DefectCertificate:
-    """Extended-natural sum of per-singularity defects with evidence."""
+                     settings: WeylSettings = DEFAULT_SETTINGS) -> DefectCertificate:
+    """Extended-natural sum of per-singularity defects with evidence.
+
+    Each entry holds its piece's own record; the total adds it once per
+    site the piece stands for.
+    """
     n = loc.validated.n
-    cfg = loc.validated.config
 
     entries = []
     total: Optional[DefectRecord] = ZERO_DEFECT
     first_violation = None
     lattice_multiplicity = None
 
-    for idx, piece in enumerate(loc.pieces):
-        record, evidence = _piece_defect(n, piece.spec, settings, lmax)
-        evidence = dict(evidence)
+    for piece in loc.pieces:
+        record, evidence = _piece_defect(n, piece.spec, settings)
         evidence["remainder_sup"] = piece.remainder_sup
-        entries.append(CertificateEntry(idx, piece.position, record, evidence))
+        entries.append(CertificateEntry(piece.index, piece.position, record, evidence))
+        if piece.index == "orbit":
+            lattice_multiplicity = ext_to_json(piece.multiplicity)
         if record is None:
             total = None
         elif total is not None:
-            total = total + record
+            total = total + record.scaled(piece.multiplicity)
         if first_violation is None and record is not None and record.def_value != 0:
-            first_violation = idx
-
-    if cfg.lattice is not None:
-        record, evidence = _piece_defect(n, cfg.lattice.spec, settings, lmax)
-        evidence = dict(evidence)
-        evidence["remainder_sup"] = loc.orbit_piece.remainder_sup
-        count = cfg.lattice.site_count()
-        lattice_multiplicity = "inf" if count == INF else count
-        entries.append(CertificateEntry("orbit", cfg.lattice.origin, record, evidence))
-        if record is None:
-            total = None
-        elif total is not None:
-            total = total + record.scaled(count)
-        if first_violation is None and record is not None and record.def_value != 0:
-            first_violation = "orbit"
+            first_violation = piece.index
 
     return DefectCertificate(
         total=total,
@@ -306,11 +285,11 @@ def _empty_certificate(cfg: SingularityConfig) -> DefectCertificate:
 
 
 def essential_selfadjointness(cfg: SingularityConfig,
-                              settings: WeylSettings = DEFAULT_SETTINGS,
-                              lmax: Optional[int] = None) -> DefectCertificate:
+                              settings: WeylSettings = DEFAULT_SETTINGS
+                              ) -> DefectCertificate:
     """Full pipeline: validate, localize, aggregate, and render a verdict."""
     if cfg.is_empty:
         return _empty_certificate(cfg)
     validated = validate_config(cfg)
     loc = localize(validated)
-    return aggregate_defect(loc, settings=settings, lmax=lmax)
+    return aggregate_defect(loc, settings=settings)

@@ -579,15 +579,10 @@ def build_family(validated: ValidatedConfig,
     eps = validated.epsilon if scale is None else scale
     if scale is not None and not 0.0 < scale <= validated.epsilon:
         raise ValueError("family scale must lie in (0, epsilon]")
+    # one member per placement: a lattice orbit is represented by its origin
+    placements = [(pos, spec.delta) for _, pos, spec, _ in cfg.placements]
     if not math.isfinite(eps):
-        deltas = [s.spec.delta for s in cfg.singularities]
-        if cfg.lattice is not None:
-            deltas.append(cfg.lattice.spec.delta)
-        eps = 2.0 * max(deltas) if deltas else 1.0
-
-    placements = [(s.position, s.spec.delta) for s in cfg.singularities]
-    if cfg.lattice is not None:
-        placements.append((cfg.lattice.origin, cfg.lattice.spec.delta))
+        eps = 2.0 * max(delta for _, delta in placements) if placements else 1.0
 
     members = []
     for pos, delta in placements:

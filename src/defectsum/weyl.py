@@ -177,8 +177,12 @@ def _build_table(q, anchor: float, direction: int, n_win: int,
     w = qv * r * r
     if not np.all(np.isfinite(w)):
         bad = r[~np.isfinite(w)]
+        # an inner run's variable is the distance to the singular endpoint,
+        # which for a shell side is s = |r - r0|, not the radius
+        where = "distance s" if direction < 0 else "r"
         raise NonFiniteCoefficient(
-            f"coefficient non-finite at r = {bad[0]:.6g} (and {bad.size - 1} more nodes)"
+            f"coefficient non-finite at {where} = {bad[0]:.6g} "
+            f"(and {bad.size - 1} more nodes)"
         )
     return w, t_min, dt, t_anchor
 

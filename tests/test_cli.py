@@ -120,6 +120,27 @@ def test_exit_three_for_indeterminate_certificate(tmp_path, capsys):
     assert json.loads(out)["certificate"]["verdict"] == "indeterminate"
 
 
+def test_exit_three_for_unresolved_shell(tmp_path, capsys):
+    # the oracle overflows on this valid shell: indeterminate with a reason,
+    # not exit 2 for invalid input
+    cfg = {
+        "version": 1, "dimension": 3, "background": {"sup_norm": 0.0},
+        "singularities": [
+            {"kind": "shell", "position": [0.0, 0.0, 0.0], "strength": 1.0,
+             "exponent": 30.0, "shell_radius": 0.25, "cutoff": 0.5},
+        ],
+        "lattice": None, "declared_epsilon": None,
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, ["defect", "--config", str(path)])
+    assert code == 3
+    cert = json.loads(out)["certificate"]
+    assert cert["verdict"] == "indeterminate"
+    assert cert["table"][0]["evidence"]["indeterminate_reason"].startswith(
+        "NonFiniteCoefficient: coefficient non-finite at distance s =")
+
+
 def test_two_point_example_totals(tmp_path, capsys):
     # couplings 0 and -3 in dimension 3: per-piece defects 1 and 4, total 5
     cfg = {

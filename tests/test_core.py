@@ -80,6 +80,26 @@ def test_extended_sum_order_independent(pairs):
         assert add_defects(perm) == total
 
 
+records = st.builds(DefectRecord, ext_nat, ext_nat)
+
+
+@given(records, records, records)
+@hyp_settings(max_examples=200, deadline=None)
+def test_defect_record_sum_laws(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + DefectRecord(INF, INF) == DefectRecord(INF, INF)
+
+
+@given(records, st.integers(min_value=1, max_value=12))
+@hyp_settings(max_examples=200, deadline=None)
+def test_scaled_is_repeated_sum(r, k):
+    # k >= 1: a scaled record stands for the sites of a lattice region,
+    # and a region holds at least one site
+    assert r.scaled(1) == r
+    assert r.scaled(k) == add_defects([r] * k)
+
+
 def test_scaled_infinite_count():
     assert DefectRecord(1, 1).scaled(INF) == DefectRecord(INF, INF)
     assert DefectRecord(0, 0).scaled(INF) == DefectRecord(0, 0)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from defectsum.core import (
     Background,
+    CustomRadial,
     INF,
     InverseSquarePoint,
     LatticeGenerator,
@@ -96,14 +99,47 @@ def test_aggregate_three_points():
     assert cert.first_violation == 0
 
 
-def test_aggregate_additivity_matches_singletons():
-    couplings = (0.5, -0.25, -3.0, 1.0)
-    cert = essential_selfadjointness(_points_config(3, couplings))
-    singles = [
-        essential_selfadjointness(_points_config(3, (c,))).total
-        for c in couplings
-    ]
+couplings = st.floats(min_value=-8.0, max_value=4.0)
+
+
+@given(st.integers(min_value=2, max_value=5),
+       st.lists(couplings, min_size=1, max_size=5))
+@hyp_settings(max_examples=40, deadline=None)
+def test_aggregate_additivity_matches_singletons(n, cs):
+    cert = essential_selfadjointness(_points_config(n, cs))
+    singles = [essential_selfadjointness(_points_config(n, (c,))).total for c in cs]
     assert cert.total == add_defects(singles)
+
+
+def _custom_spec(delta, coupling):
+    return CustomRadial(radii=(0.1 * delta, 0.5 * delta, delta),
+                        values=(2.0, 1.0, 0.0), delta=delta,
+                        endpoint_coupling=coupling)
+
+
+lattice_specs = st.one_of(
+    st.builds(InverseSquarePoint, couplings, st.floats(min_value=0.05, max_value=0.45)),
+    st.builds(_custom_spec, st.floats(min_value=0.05, max_value=0.45),
+              st.one_of(st.none(), couplings)),
+)
+
+
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=2),
+       lattice_specs, st.data())
+@hyp_settings(max_examples=40, deadline=None)
+def test_finite_lattice_matches_explicit_sites(n, d, spec, data):
+    # unit spacing along the first d axes, cutoffs below 1/2: supports
+    # never touch, so both configs validate
+    basis = tuple(tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(d))
+    region = tuple(data.draw(st.tuples(st.integers(-2, 0), st.integers(0, 2)))
+                   for _ in range(d))
+    lat = LatticeGenerator(basis, (0.5,) * n, spec, region)
+    explicit = SingularityConfig(n, tuple(
+        PlacedSingularity(pos, spec) for pos in lat.sites()))
+    orbit = essential_selfadjointness(SingularityConfig(n, lattice=lat))
+    sites = essential_selfadjointness(explicit)
+    assert orbit.total == sites.total
+    assert orbit.verdict == sites.verdict
 
 
 def test_lattice_infinite_zero_orbit():
@@ -205,6 +241,22 @@ def test_borderline_shell_yields_indeterminate_certificate():
     assert cert.total is None
     assert cert.entries[0].record is None
     assert cert.entries[0].evidence["indeterminate_band"] > 0
+
+
+def test_unresolved_shell_is_indeterminate_with_reason():
+    # beta s^-30 overflows near the sphere, so the oracle cannot tabulate the
+    # side problem; explicit pieces and lattice orbits both say why
+    spec = Shell(1.0, 30.0, 0.25, 0.5)
+    explicit = SingularityConfig(3, (PlacedSingularity((0.0, 0.0, 0.0), spec),))
+    orbit = SingularityConfig(3, lattice=LatticeGenerator(
+        ((2.0, 0.0, 0.0),), (0.0, 0.0, 0.0), spec))
+    for cfg in (explicit, orbit):
+        cert = essential_selfadjointness(cfg)
+        assert cert.verdict == "indeterminate"
+        assert cert.total is None and cert.entries[0].record is None
+        reason = cert.entries[0].evidence["indeterminate_reason"]
+        assert reason.startswith("NonFiniteCoefficient: ")
+        assert "distance s =" in reason
 
 
 def test_custom_radial_uses_declared_coupling():
