@@ -107,7 +107,10 @@ def _cmd_certify(args, settings):
 def _cmd_classify(args, settings):
     q0 = args.coupling
     z = 1j if args.z == "plus" else -1j
-    frob = weyl.frobenius_classify_inverse_square(q0)
+    # q0/r^2 is bounded below near infinity, so that end is limit point
+    # (Reed & Simon II, Thm X.8)
+    closed = (weyl.frobenius_classify_inverse_square(q0)
+              if args.endpoint == "inner" else weyl.LIMIT_POINT)
     problem = weyl.RadialProblem(
         q=lambda r: q0 / r**2,
         interval=(0.0, math.inf),
@@ -118,7 +121,7 @@ def _cmd_classify(args, settings):
     payload = {
         "coupling": q0,
         "endpoint": args.endpoint,
-        "closed_form": frob.kind if args.endpoint == "inner" else None,
+        "closed_form": closed.kind,
         "numeric": cls.kind,
         "nu_hat": diag.nu_hat,
         "rho_hat": diag.rho_hat if math.isfinite(diag.rho_hat) else "inf",

@@ -32,6 +32,8 @@ LN2 = math.log(2.0)
 
 THRESHOLD_COUPLING = 0.75  # limit point iff q0 >= 3/4 for q0 / r^2
 
+MIN_FIT = 4  # fewest windows a tail fit uses; a run needs MIN_FIT + 2
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -97,7 +99,7 @@ class WeylSettings:
     """Tunable resolution parameters for the numeric oracle."""
 
     n_windows: int = 40
-    n_windows_outer: int = 12
+    n_windows_outer: int = 12  # rerun length for an outer fit that is not decisive
     fit_windows: int = 12
     fit_windows_outer: int = 8
     band: float = 4.0e-4
@@ -257,7 +259,7 @@ def _recessive_diagnostics(run: _WindowRun, n_fit: int):
 def _analyze(run: _WindowRun, settings: WeylSettings, direction: int):
     n_fit = settings.fit_windows if direction < 0 else settings.fit_windows_outer
     n_fit = min(n_fit, run.n_done - 2)
-    if n_fit < 4:
+    if n_fit < MIN_FIT:
         raise IntegrationFailure(
             f"only {run.n_done} usable windows; too few for a tail fit"
         )
@@ -278,21 +280,32 @@ def _analyze(run: _WindowRun, settings: WeylSettings, direction: int):
     return diag, n_fit
 
 
+def _window_schedule(direction: int, settings: WeylSettings):
+    """Window counts tried in turn until a fit settles.
+
+    Inner runs double from ``n_windows``.  Outer runs start at the
+    shortest fittable run: its windows are a bit-identical prefix of the
+    longer run, and each window costs about twice the one before, so a
+    decisive slope there decides at a small fraction of the full cost.
+    """
+    if direction < 0:
+        return [settings.n_windows << k for k in range(settings.max_refinements + 1)]
+    first = min(MIN_FIT + 2, settings.n_windows_outer)
+    return sorted({first, settings.n_windows_outer})
+
+
 def _classify_run(q, anchor: float, direction: int, z: complex,
                   settings: WeylSettings):
-    n_win = settings.n_windows if direction < 0 else settings.n_windows_outer
-    attempts = settings.max_refinements if direction < 0 else 0
-    run = None
-    diag = None
-    n_fit = 0
-    for attempt in range(attempts + 1):
+    for n_win in _window_schedule(direction, settings):
         run = _run_windows(q, anchor, direction, n_win, z, settings)
         diag, n_fit = _analyze(run, settings, direction)
+        # an outer trend compares no earlier block at the shortest run,
+        # so only a decisive slope stops an outer schedule early
         settled = (abs(diag.slope_dominant) > settings.decisive_slope
-                   or abs(diag.trend) <= settings.trend_threshold)
-        if settled or run.truncated or attempt == attempts:
+                   or (direction < 0
+                       and abs(diag.trend) <= settings.trend_threshold))
+        if settled or run.truncated:
             break
-        n_win *= 2
 
     slope = diag.slope_dominant
     unsettled = (abs(slope) <= settings.decisive_slope

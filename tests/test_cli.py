@@ -209,7 +209,7 @@ def test_classify_outer_endpoint(capsys):
                                  "--endpoint", "outer"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["closed_form"] is None
+    assert rep["closed_form"] == "limit_point"
     assert rep["numeric"] == "limit_point"
 
 

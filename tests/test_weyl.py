@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from defectsum.errors import NonFiniteCoefficient
+from defectsum import weyl
+from defectsum.errors import IntegrationFailure, NonFiniteCoefficient
 from defectsum.weyl import (
     DEFAULT_SETTINGS,
+    MIN_FIT,
     LIMIT_CIRCLE,
     LIMIT_POINT,
     RadialProblem,
@@ -118,6 +123,67 @@ def test_borderline_returns_indeterminate():
     cls = classify_inverse_square_cached(0.75, "inner")
     assert cls.is_indeterminate
     assert cls.band == DEFAULT_SETTINGS.band
+
+
+# ---------------------------------------------------------------------------
+# Outer schedule: the shortest fittable run first, the full run if undecided
+
+
+@given(q0=st.floats(-20.0, 60.0), z=st.sampled_from([1j, -1j]))
+@hyp_settings(max_examples=25, deadline=None)
+def test_outer_decides_at_shortest_run(q0, z):
+    cls, diag = classify_endpoint_detailed(inverse_square_problem(q0, math.inf), z)
+    assert cls.is_limit_point
+    assert diag.windows_used == MIN_FIT + 2
+    assert diag.slope_dominant > DEFAULT_SETTINGS.decisive_slope
+
+
+@pytest.mark.parametrize("q0", [-0.4998, 3.3199])
+@pytest.mark.parametrize("z", [1j, -1j])
+def test_outer_short_run_is_prefix_of_long_run(q0, z):
+    q, anchor, direction = weyl._normalized_direction(
+        inverse_square_problem(q0, math.inf))
+    short = weyl._run_windows(q, anchor, direction, MIN_FIT + 2, z, DEFAULT_SETTINGS)
+    full = weyl._run_windows(q, anchor, direction, 8, z, DEFAULT_SETTINGS)
+    n = short.n_done
+    assert n == MIN_FIT + 2
+    assert np.array_equal(short.l00, full.l00[:n])
+    assert np.array_equal(short.l11, full.l11[:n])
+    assert np.array_equal(short.corr, full.corr[:n])
+
+
+def test_outer_fit_that_is_not_decisive_reruns_at_full_length():
+    settings = replace(DEFAULT_SETTINGS, decisive_slope=1e9, n_windows_outer=8)
+    problem = inverse_square_problem(2.0, math.inf)
+    cls, diag = classify_endpoint_detailed(problem, 1j, settings)
+    assert diag.windows_used == 8
+
+    q, anchor, direction = weyl._normalized_direction(problem)
+    direct, _ = weyl._analyze(
+        weyl._run_windows(q, anchor, direction, 8, 1j, settings), settings, direction)
+    assert replace(diag, lambda_hat=None, recessive_slope=None) == direct
+    assert cls is (LIMIT_POINT if direct.slope_dominant > 0 else LIMIT_CIRCLE)
+
+
+@pytest.mark.parametrize("n_outer", [5, 6])
+def test_short_outer_setting_runs_one_rung(n_outer, monkeypatch):
+    calls = []
+    run_windows = weyl._run_windows
+
+    def recording(q, anchor, direction, n_win, z, settings):
+        calls.append(n_win)
+        return run_windows(q, anchor, direction, n_win, z, settings)
+
+    monkeypatch.setattr(weyl, "_run_windows", recording)
+    settings = replace(DEFAULT_SETTINGS, n_windows_outer=n_outer)
+    problem = inverse_square_problem(2.0, math.inf)
+    if n_outer < MIN_FIT + 2:
+        with pytest.raises(IntegrationFailure, match=f"only {n_outer} usable"):
+            classify_endpoint_detailed(problem, 1j, settings)
+    else:
+        _, diag = classify_endpoint_detailed(problem, 1j, settings)
+        assert diag.windows_used == n_outer
+    assert calls == [n_outer]
 
 
 def test_mirrored_finite_endpoint():
